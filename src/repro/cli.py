@@ -498,7 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True, choices=list(WORKLOADS))
     p.add_argument("--system", default="graphsd", choices=list(SYSTEMS))
     p.add_argument("-P", "--partitions", type=int, default=8)
-    p.add_argument("--workspace", default=None, help="reuse a preprocessing workspace")
+    p.add_argument(
+        "--workspace",
+        default=None,
+        help="directory that keeps the grid files (default: a temporary "
+        "directory, removed afterwards); the input is regenerated and the "
+        "grid rebuilt on every run",
+    )
     p.add_argument(
         "--trace",
         nargs="?",

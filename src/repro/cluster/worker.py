@@ -161,13 +161,6 @@ class ClusterWorker:
                 lo, hi = self._bounds(j)
                 vs.store_interval(lo, self.state[name][lo:hi])
 
-    def _owned_state_nbytes(self, columns: List[int]) -> int:
-        """Bytes of one superstep's state+activation payload for columns."""
-        per_vertex = self.program.state_value_bytes(self.state) + 1  # + activation bit(s)
-        return sum(
-            (hi - lo) * per_vertex for lo, hi in (self._bounds(j) for j in columns)
-        )
-
     def _build_messages(self, superstep: int) -> List[ValueMessage]:
         """This worker's broadcast for ``superstep`` from its live state."""
         msgs = []

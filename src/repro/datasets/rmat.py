@@ -67,15 +67,18 @@ def rmat_edges(
     sequential-run merging benefits from. ``permute_ids=True`` applies a
     random relabeling (the Graph500 convention) to destroy it.
     """
-    require(scale >= 1, f"scale must be >= 1, got {scale}")
+    require(1 <= scale <= 32, f"scale must be in [1, 32] (uint32 ids), got {scale}")
     check_positive(edge_factor, "edge_factor")
     p = RMATParams(*params)
     rng = make_rng(seed)
 
     n = 1 << scale
     m = int(round(edge_factor * n))
-    src = np.zeros(m, dtype=np.int64)
-    dst = np.zeros(m, dtype=np.int64)
+    # uint32 accumulators shifted in place (ids are uint32 anyway) and one
+    # reused buffer of uniform draws keep generation to a few passes.
+    src = np.zeros(m, dtype=np.uint32)
+    dst = np.zeros(m, dtype=np.uint32)
+    draw = np.empty(m, dtype=np.float64)
 
     # Per bit level, each edge independently picks a quadrant:
     # P(src bit = 1) = c + d; P(dst bit = 1 | src bit) differs by row.
@@ -83,14 +86,18 @@ def rmat_edges(
     p_dst_one_given_src0 = p.b / (p.a + p.b) if (p.a + p.b) > 0 else 0.0
     p_dst_one_given_src1 = p.d / (p.c + p.d) if (p.c + p.d) > 0 else 0.0
     for _level in range(scale):
-        src_bit = rng.random(m) < p_src_one
-        threshold = np.where(src_bit, p_dst_one_given_src1, p_dst_one_given_src0)
-        dst_bit = rng.random(m) < threshold
-        src = (src << 1) | src_bit
-        dst = (dst << 1) | dst_bit
+        rng.random(out=draw)
+        src_bit = draw < p_src_one
+        rng.random(out=draw)
+        dst_bit = (draw < p_dst_one_given_src1) & src_bit
+        dst_bit |= (draw < p_dst_one_given_src0) & ~src_bit
+        src <<= 1
+        src |= src_bit
+        dst <<= 1
+        dst |= dst_bit
 
     if permute_ids:
-        perm = rng.permutation(n)
+        perm = rng.permutation(n).astype(np.uint32)
         src = perm[src]
         dst = perm[dst]
 

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,6 +129,42 @@ def _narrowest_uint(max_value: int) -> np.dtype:
         return _UINT_BY_ITEMSIZE[2]
     require(max_value < (1 << 32), f"value {max_value} exceeds uint32")
     return _UINT_BY_ITEMSIZE[4]
+
+
+def _stable_order(keys: Sequence[Tuple[np.ndarray, int]], n: int) -> np.ndarray:
+    """The stable permutation sorting ``n`` items by ``keys``, most
+    significant first; each key is ``(non-negative values, bit width)``.
+
+    The keys and the item's position are packed into one int64 word and
+    sorted in place. The position makes every word unique, so any sort
+    order is the stable one, and the low bits of the sorted words are
+    the permutation. Keys too wide to pack fall back to ``np.lexsort``,
+    which gives the same order.
+    """
+    index_bits = max(n - 1, 0).bit_length()
+    if sum(bits for _, bits in keys) + index_bits > 63:
+        return np.lexsort([values for values, _ in reversed(keys)])
+    packed = keys[0][0].astype(np.int64)
+    for values, bits in keys[1:]:
+        packed <<= bits
+        packed |= values
+    packed <<= index_bits
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << index_bits) - 1
+    return packed
+
+
+def _blocks_in_storage_order(block_counts: np.ndarray) -> Iterator[Tuple[int, int, slice]]:
+    """``(i, j, rows)`` of every block in storage (dst-major) order, where
+    ``rows`` is the block's slice of the grid-ordered edge arrays."""
+    P = block_counts.shape[0]
+    pos = 0
+    for j in range(P):
+        for i in range(P):
+            cnt = int(block_counts[i, j])
+            yield i, j, slice(pos, pos + cnt)
+            pos += cnt
 
 
 class GridFormatError(ValueError):
@@ -347,44 +383,49 @@ class GridStore:
             "compact encoding requires sort_within_blocks=True and indexed=True",
         )
         P = intervals.P
-        i_of = intervals.interval_of(edges.src).astype(np.int64)
-        j_of = intervals.interval_of(edges.dst).astype(np.int64)
-        key = j_of * P + i_of  # dst-major storage order
+        i_of = intervals.interval_of(edges.src)
+        j_of = intervals.interval_of(edges.dst)
+        counts_by_key = np.bincount(j_of.astype(np.int64) * P + i_of, minlength=P * P)
+        block_counts = counts_by_key.reshape(P, P).T.copy()  # [i, j]
 
+        # Storage order is (dst interval, src interval, src, dst), ties in
+        # input order. Within a column src already orders the source
+        # intervals, so the sorted layout needs j, src and dst only; the
+        # Lumos layout keeps input order inside each block.
+        interval_bits = (P - 1).bit_length()
         if sort_within_blocks:
-            perm = np.lexsort((edges.dst, edges.src, key))
+            vertex_bits = max(edges.num_vertices - 1, 0).bit_length()
+            keys = [(j_of, interval_bits), (edges.src, vertex_bits), (edges.dst, vertex_bits)]
         else:
-            perm = np.argsort(key, kind="stable")
+            keys = [(j_of, interval_bits), (i_of, interval_bits)]
+        perm = _stable_order(keys, edges.num_edges)
+        del keys, i_of, j_of  # freed before the gathers: set-up peak memory
         src = edges.src[perm]
         dst = edges.dst[perm]
         wgt = edges.weights[perm] if edges.has_weights else None
+        del perm
 
-        counts_by_key = np.bincount(key, minlength=P * P).astype(np.int64)
-        block_counts = counts_by_key.reshape(P, P).T.copy()  # [i, j]
+        # Every block's per-vertex in-block degrees, counted once: they are
+        # the compact run-length header and pick its dtype, and their
+        # running sums are the index offsets.
+        blocks = list(_blocks_in_storage_order(block_counts))
+        vcounts: Dict[Tuple[int, int], np.ndarray] = {}
+        if indexed:
+            for i, j, rows in blocks:
+                lo_i, hi_i = intervals.bounds(i)
+                vcounts[i, j] = np.bincount(
+                    src[rows].astype(np.int64) - lo_i, minlength=hi_i - lo_i
+                )
 
         if encoding in _COMPACT_ENCODINGS:
             count_codes = np.zeros((P, P), dtype=np.int64)
             dst_codes = np.ones((P, P), dtype=np.int64)  # empty blocks: uint8
-            payload_parts: List[np.ndarray] = []
-            # First pass: per-block header (and, for compact3, dst)
-            # dtypes — needs per-vertex degrees / actual local maxima.
-            pos = 0
-            for j in range(P):
+            for i, j, rows in blocks:
+                if rows.start == rows.stop:
+                    continue
                 lo_j, _hi_j = intervals.bounds(j)
-                for i in range(P):
-                    cnt = int(block_counts[i, j])
-                    if cnt == 0:
-                        continue
-                    lo_i, hi_i = intervals.bounds(i)
-                    vcounts = np.bincount(
-                        src[pos : pos + cnt].astype(np.int64) - lo_i,
-                        minlength=hi_i - lo_i,
-                    )
-                    count_codes[i, j] = _narrowest_uint(int(vcounts.max())).itemsize
-                    dst_codes[i, j] = _narrowest_uint(
-                        int(dst[pos : pos + cnt].max()) - lo_j
-                    ).itemsize
-                    pos += cnt
+                count_codes[i, j] = _narrowest_uint(int(vcounts[i, j].max())).itemsize
+                dst_codes[i, j] = _narrowest_uint(int(dst[rows].max()) - lo_j).itemsize
             store = cls(
                 device,
                 prefix,
@@ -396,29 +437,19 @@ class GridStore:
                 count_codes=count_codes,
                 dst_codes=dst_codes if encoding == ENCODING_COMPACT3 else None,
             )
-            pos = 0
-            for j in range(P):
+            payload_parts: List[np.ndarray] = []
+            for i, j, rows in blocks:
+                if rows.start == rows.stop:
+                    continue
                 lo_j, _hi_j = intervals.bounds(j)
-                for i in range(P):
-                    cnt = int(block_counts[i, j])
-                    if cnt == 0:
-                        continue
-                    rec_dtype = store._record_dtype_at(i, j)
-                    lo_i, hi_i = intervals.bounds(i)
-                    vcounts = np.bincount(
-                        src[pos : pos + cnt].astype(np.int64) - lo_i,
-                        minlength=hi_i - lo_i,
-                    )
-                    header = vcounts.astype(store._count_dtype(i, j))
-                    records = np.empty(cnt, dtype=rec_dtype)
-                    records["dst"] = (
-                        dst[pos : pos + cnt].astype(np.int64) - lo_j
-                    ).astype(rec_dtype["dst"])
-                    if edges.has_weights:
-                        records["wgt"] = wgt[pos : pos + cnt]
-                    payload_parts.append(np.frombuffer(header.tobytes(), dtype=BYTE_DTYPE))
-                    payload_parts.append(np.frombuffer(records.tobytes(), dtype=BYTE_DTYPE))
-                    pos += cnt
+                rec_dtype = store._record_dtype_at(i, j)
+                header = vcounts[i, j].astype(store._count_dtype(i, j))
+                records = np.empty(rows.stop - rows.start, dtype=rec_dtype)
+                records["dst"] = (dst[rows].astype(np.int64) - lo_j).astype(rec_dtype["dst"])
+                if edges.has_weights:
+                    records["wgt"] = wgt[rows]
+                payload_parts.append(header.view(BYTE_DTYPE))
+                payload_parts.append(records.view(BYTE_DTYPE))
             payload = (
                 np.concatenate(payload_parts)
                 if payload_parts
@@ -442,25 +473,15 @@ class GridStore:
 
         if indexed:
             idx_parts = []
-            pos = 0
-            for j in range(P):
-                for i in range(P):
-                    cnt = int(block_counts[i, j])
-                    lo, hi = intervals.bounds(i)
-                    block_src = src[pos : pos + cnt]
-                    offsets = np.searchsorted(
-                        block_src, np.arange(lo, hi + 1, dtype=np.int64)
-                    ).astype(INDEX_DTYPE)
-                    if encoding == ENCODING_COMPACT3:
-                        # Narrowest-uint per block: offsets are block-
-                        # relative, so the block's edge count bounds them.
-                        packed = offsets.astype(store._idx_dtype(i, j))
-                        idx_parts.append(
-                            np.frombuffer(packed.tobytes(), dtype=BYTE_DTYPE)
-                        )
-                    else:
-                        idx_parts.append(offsets)
-                    pos += cnt
+            for i, j, _rows in blocks:
+                offsets = np.zeros(vcounts[i, j].shape[0] + 1, dtype=INDEX_DTYPE)
+                np.cumsum(vcounts[i, j], out=offsets[1:])
+                if encoding == ENCODING_COMPACT3:
+                    # Narrowest-uint per block: offsets are block-
+                    # relative, so the block's edge count bounds them.
+                    idx_parts.append(offsets.astype(store._idx_dtype(i, j)).view(BYTE_DTYPE))
+                else:
+                    idx_parts.append(offsets)
             empty_dtype = BYTE_DTYPE if encoding == ENCODING_COMPACT3 else INDEX_DTYPE
             store._idx_file.write(
                 np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=empty_dtype)
@@ -621,20 +642,6 @@ class GridStore:
         if total == 0:
             return float(rec_sizes.mean()) if rec_sizes.size else 0.0
         return float((col_edges * rec_sizes).sum() / total)
-
-    def selective_record_bytes(self, j: int) -> int:
-        """Per-edge payload bytes of a selective load in column ``j``.
-
-        For compact3 this is the column's widest per-block record (an
-        upper bound — actual loads use each block's own width).
-        """
-        if self.encoding == ENCODING_COMPACT3:
-            return int(
-                max(self._record_dtype_at(i, j).itemsize for i in range(self.P))
-            )
-        if self.encoding == ENCODING_COMPACT:
-            return int(self._record_dtype(j).itemsize)
-        return int(self._edges_file.dtype.itemsize)
 
     def index_entry_bytes(self, i: int) -> int:
         """Per-entry on-disk index bytes the scheduler should price for

@@ -60,14 +60,25 @@ class VertexIntervals:
         return np.diff(self.boundaries)
 
     def interval_of(self, vertex_ids: np.ndarray) -> np.ndarray:
-        """Vectorized interval lookup for an array of vertex ids."""
+        """Vectorized interval lookup for an array of vertex ids.
+
+        Returns the narrowest unsigned dtype that holds ``P - 1``. When a
+        per-vertex lookup table is no larger than ``vertex_ids`` itself,
+        each id is one table load; sparse id spaces (few ids over a huge
+        universe) binary-search the boundaries instead, so the lookup
+        never allocates more than its input.
+        """
         ids = np.asarray(vertex_ids)
         if ids.size:
             require(
                 int(ids.min()) >= 0 and int(ids.max()) < self.num_vertices,
                 "vertex id out of range",
             )
-        return np.searchsorted(self.boundaries, ids, side="right") - 1
+        dtype = np.min_scalar_type(max(self.P - 1, 0))
+        if self.num_vertices * dtype.itemsize <= ids.nbytes:
+            table = np.repeat(np.arange(self.P, dtype=dtype), self.sizes())
+            return table[ids]
+        return (np.searchsorted(self.boundaries, ids, side="right") - 1).astype(dtype)
 
     def as_ranges(self) -> List[Tuple[int, int]]:
         return [self.bounds(i) for i in range(self.P)]

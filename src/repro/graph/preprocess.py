@@ -32,6 +32,7 @@ from repro.graph.partition import VertexIntervals, make_intervals
 from repro.obs import NULL_TRACER, TracerLike
 from repro.storage.blockfile import Device
 from repro.storage.disk import MachineProfile, DEFAULT_MACHINE
+from repro.utils.memory import release_free_heap
 from repro.utils.timers import COMPUTE, TimeBreakdown, WallTimer
 
 #: Modeled passes over the edge array for an in-place bucketed sort.
@@ -115,6 +116,9 @@ def _run(
         # examined anyway), so no extra time is charged; carrying them
         # saves every engine the fallback charged scan.
         degrees = np.bincount(edges.src, minlength=edges.num_vertices).astype(np.int64)
+    # The build's sort and gather scratch is freed by now; hand it back so
+    # the engine starts from the same footprint whatever the heap layout.
+    release_free_heap()
     breakdown = device.disk.clock.snapshot() - before
     return PreprocessResult(
         system, stores, intervals, breakdown, wall.elapsed, out_degrees=degrees
