@@ -10,6 +10,7 @@ from repro.algorithms.base import (
     GraphContext,
     State,
     VertexProgram,
+    scatter_block,
     scatter_combine,
 )
 from repro.algorithms.bfs import BFS
@@ -32,6 +33,7 @@ __all__ = [
     "GraphContext",
     "State",
     "VertexProgram",
+    "scatter_block",
     "scatter_combine",
     "BFS",
     "ConnectedComponents",

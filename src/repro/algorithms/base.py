@@ -33,12 +33,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 from repro.utils.bitset import VertexSubset
 from repro.utils.validation import require
+
+if TYPE_CHECKING:  # the graph layer sits above this module
+    from repro.graph.grid import EdgeBlock
 
 State = Dict[str, np.ndarray]
 
@@ -67,24 +70,67 @@ def scatter_combine(
     acc: np.ndarray,
     dst_local: np.ndarray,
     contributions: np.ndarray,
+    dispatch_count: Optional[int] = None,
 ) -> None:
     """Reduce per-edge ``contributions`` into ``acc`` at ``dst_local``.
 
     ``ADD`` uses :func:`numpy.bincount` (a single C pass) for dense
     blocks and the ufunc ``at`` reduction below the density threshold;
     ``MIN`` always uses ``at``. All paths tolerate repeated
-    destinations. The ADD dispatch depends only on sizes, so identical
-    block streams reduce identically regardless of execution mode.
+    destinations. The two ADD paths round differently, so the choice is
+    made on ``dispatch_count`` (default: the number of contributions):
+    :func:`scatter_block` passes the block's *uncompacted* edge count,
+    which keeps the path — and the bits — independent of how many
+    edges the gate dropped. The dispatch depends only on sizes, so
+    identical block streams reduce identically regardless of execution
+    mode.
     """
     if dst_local.size == 0:
         return
     if combine is Combine.ADD:
-        if dst_local.size * SPARSE_ADD_RATIO < acc.shape[0]:
+        count = dst_local.size if dispatch_count is None else dispatch_count
+        if count * SPARSE_ADD_RATIO < acc.shape[0]:
             np.add.at(acc, dst_local, contributions)
         else:
             acc += np.bincount(dst_local, weights=contributions, minlength=acc.shape[0])
     else:
         np.minimum.at(acc, dst_local, contributions)
+
+
+def scatter_block(
+    program: VertexProgram,
+    snapshot: State,
+    block: EdgeBlock,
+    acc: np.ndarray,
+    touched: np.ndarray,
+    gate: Optional[np.ndarray] = None,
+) -> None:
+    """Gather ``block`` from ``snapshot`` and reduce it into ``acc``.
+
+    ``gate`` (a per-vertex bool mask) selects the edges whose source is
+    active. They are compacted *before* the gather, so inactive edges
+    cost neither gather nor reduction work. Each destination that gets
+    at least one contribution is marked in ``touched``.
+
+    The result is bit-identical to gathering every edge and replacing
+    inactive contributions with the combine identity. The dropped
+    contributions would be ``inf`` under MIN, and ``min(x, inf) == x``.
+    Under ADD they would be ``+0.0``, and ``x + 0.0 == x`` for every
+    accumulator value that can occur: accumulators start at ``+0.0`` and
+    round-to-nearest addition never turns them into ``-0.0``. The ADD
+    path is chosen by ``block.count``, never by the compacted size.
+    """
+    src, dst, wgt = block.src, block.dst, block.wgt
+    if gate is not None:
+        keep = gate[src]
+        if not keep.all():
+            if not keep.any():
+                return
+            src, dst = src[keep], dst[keep]
+            wgt = None if wgt is None else wgt[keep]
+    contrib = program.gather(snapshot, src, wgt)
+    scatter_combine(program.combine, acc, dst, contrib, dispatch_count=block.count)
+    touched[dst] = True
 
 
 @dataclass

@@ -5,7 +5,7 @@ previous iteration; each iteration relaxes their out-edges. Iteration
 ``t`` of the synchronous schedule computes exact shortest paths using at
 most ``t`` hops, and the algorithm converges in at most
 ``num_vertices - 1`` iterations. Requires non-negative edge weights
-(checked on first gather).
+(checked on every gather).
 
 This is the paper's most I/O-diverse workload: the frontier starts tiny
 (one vertex), swells through the graph's bulk, then collapses — exactly
@@ -33,7 +33,6 @@ class SSSP(VertexProgram):
     def __init__(self, source: int = 0) -> None:
         require(source >= 0, f"source must be >= 0, got {source}")
         self.source = int(source)
-        self._weights_checked = False
 
     def init_state(self, ctx: GraphContext) -> State:
         require(self.source < ctx.num_vertices, "SSSP source vertex out of range")
@@ -46,9 +45,8 @@ class SSSP(VertexProgram):
 
     def gather(self, state: State, src_ids: np.ndarray, weights) -> np.ndarray:
         require(weights is not None, "SSSP requires a weighted graph")
-        if not self._weights_checked and weights.size:
+        if weights.size:
             require(float(weights.min()) >= 0.0, "SSSP requires non-negative edge weights")
-            self._weights_checked = True
         return state["value"][src_ids] + weights
 
     def apply(self, state, lo, hi, acc, touched) -> np.ndarray:

@@ -33,7 +33,6 @@ class SSWP(VertexProgram):
     def __init__(self, source: int = 0) -> None:
         require(source >= 0, f"source must be >= 0, got {source}")
         self.source = int(source)
-        self._weights_checked = False
 
     def init_state(self, ctx: GraphContext) -> State:
         require(self.source < ctx.num_vertices, "SSWP source vertex out of range")
@@ -46,9 +45,8 @@ class SSWP(VertexProgram):
 
     def gather(self, state: State, src_ids: np.ndarray, weights) -> np.ndarray:
         require(weights is not None, "SSWP requires a weighted graph")
-        if not self._weights_checked and weights.size:
+        if weights.size:
             require(float(weights.min()) >= 0.0, "SSWP requires non-negative edge weights")
-            self._weights_checked = True
         return np.maximum(state["value"][src_ids], -weights.astype(np.float64))
 
     def apply(self, state, lo, hi, acc, touched) -> np.ndarray:

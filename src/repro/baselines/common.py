@@ -83,8 +83,7 @@ class StreamingEngineBase(EngineBase):
             for i_lo, i_hi in self._column_source_ranges(j):
                 column_blocks.extend(store.load_block_range(j, i_lo, i_hi))
             for block in column_blocks:
-                contrib, edge_mask = self.gather_block(prev, block, gate_mask=gate)
-                self.combine_block(acc, touched, block, contrib, edge_mask)
+                self.scatter_block(prev, block, acc, touched, gate_mask=gate)
                 edges_processed += block.count
                 if gate is not None:
                     active_edges += int(np.count_nonzero(gate[block.src]))

@@ -18,12 +18,15 @@ each guarded by a done-marker so a superstep can be *re-entered* after a
 crash recovery: workers that already finished a phase skip it, and only
 the rolled-back worker re-executes.
 
-Bit-identity invariant: a column is computed by gathering its blocks in
-ascending source-interval order and reducing with the same
-:func:`~repro.algorithms.base.scatter_combine` dispatch as the
-single-node engines, against a full-length accumulator. The order and
-the dispatch depend only on the grid — never on ownership — so any
-worker computing any column produces the same bits.
+Bit-identity invariant: a column is computed by passing its blocks, in
+ascending source-interval order, through the single-node engines'
+gate-first kernel (:func:`~repro.algorithms.base.scatter_block`)
+against a full-length accumulator. The kernel drops edges whose source
+is outside the frontier before gathering, and picks its ADD reduction
+by the block's full edge count. The order and the dispatch depend only
+on the grid — never on ownership — so any worker computing any column
+produces the same bits. Every block is still read in full and charged
+compute for all its edges.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.algorithms.base import GraphContext, State, VertexProgram, scatter_combine
+from repro.algorithms.base import GraphContext, State, VertexProgram, scatter_block
 from repro.cluster.interconnect import Interconnect, channel_name
 from repro.cluster.messages import Inbox, ValueMessage, apply_messages
 from repro.core.checkpoint import CheckpointManager
@@ -233,19 +236,14 @@ class ClusterWorker:
             acc = self.program.acc_array(n)
             touched = np.zeros(n, dtype=bool)
             edges = 0
-            neutral = self.program.combine.identity
             for j in self.columns:
                 for block in self.store.load_column(j):
                     if block.count == 0:
                         continue
-                    contrib = self.program.gather(self.prev, block.src, block.wgt)
-                    edge_mask = gate[block.src]
-                    contrib = np.where(edge_mask, contrib, neutral)
+                    scatter_block(self.program, self.prev, block, acc, touched, gate)
                     self.clock.charge(
                         COMPUTE, self.machine.edge_compute_time(block.count)
                     )
-                    scatter_combine(self.program.combine, acc, block.dst, contrib)
-                    touched[block.dst[edge_mask]] = True
                     edges += block.count
             self._activated = np.zeros(n, dtype=bool)
             for j in self.columns:

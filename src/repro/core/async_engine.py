@@ -324,10 +324,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
                         if block.count == 0:
                             continue
                         gate = pend_mask if is_full else None
-                        contrib, edge_mask = self.gather_block(
-                            self.state, block, gate_mask=gate
-                        )
-                        self.combine_block(acc, touched, block, contrib, edge_mask)
+                        self.scatter_block(self.state, block, acc, touched, gate_mask=gate)
                         edges += block.count
                 finally:
                     stream.close()
@@ -343,10 +340,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
                 block = self.store.load_block(i, j)
                 if i == j:
                     diagonal = block
-                contrib, edge_mask = self.gather_block(
-                    self.state, block, gate_mask=pend_mask
-                )
-                self.combine_block(acc, touched, block, contrib, edge_mask)
+                self.scatter_block(self.state, block, acc, touched, gate_mask=pend_mask)
                 edges += block.count
         return edges, diagonal
 
@@ -456,10 +450,7 @@ class AsyncGraphSDEngine(GraphSDEngine):
                     gate[lo:hi] = chase
             if block.count == 0:
                 break
-            contrib, edge_mask = self.gather_block(
-                self.state, block, gate_mask=gate
-            )
-            self.combine_block(acc, touched, block, contrib, edge_mask)
+            self.scatter_block(self.state, block, acc, touched, gate_mask=gate)
             edges += block.count
             act, n_act = self._apply_measured(
                 j, lo, hi, acc, touched, value, scratch

@@ -10,8 +10,8 @@ they share:
 * per-iteration state persistence (vertex values are re-read from and
   written back to disk every iteration, the ``|V| x N / B`` terms of the
   paper's cost model);
-* vectorized gather / combine / apply helpers with modeled compute
-  charging and frontier gating;
+* the gate-first scatter and the apply helper, with modeled compute
+  charging;
 * the run loop skeleton and per-iteration metric capture.
 
 Subclasses implement :meth:`EngineBase._run_round`, which executes one
@@ -28,13 +28,7 @@ import numpy as np
 if TYPE_CHECKING:  # imported lazily at runtime to keep layering acyclic
     from repro.core.checkpoint import CheckpointManager
 
-from repro.algorithms.base import (
-    Combine,
-    GraphContext,
-    State,
-    VertexProgram,
-    scatter_combine,
-)
+from repro.algorithms.base import GraphContext, State, VertexProgram, scatter_block
 from repro.core.result import IterationRecord, RunResult
 from repro.graph.grid import EdgeBlock, GridStore
 from repro.graph.vertexdata import VertexArrayStore
@@ -159,51 +153,25 @@ class EngineBase:
 
     # -- vectorized kernels with compute charging ---------------------------
 
-    def gather_block(
+    def scatter_block(
         self,
         snapshot: State,
         block: EdgeBlock,
+        acc: np.ndarray,
+        touched: np.ndarray,
         gate_mask: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Per-edge contributions of ``block`` computed from ``snapshot``.
+    ) -> None:
+        """Gather ``block`` from ``snapshot`` into ``acc``/``touched``.
 
-        ``gate_mask`` (a per-vertex bool array) neutralizes contributions
-        whose source is outside the mask — engines gate full scans to the
-        frontier so inactive sources contribute the combine identity.
-        Returns ``(contributions, edge_mask)``: ``edge_mask`` marks the
-        non-neutralized edges (``None`` when ungated) and must be passed
-        through to :meth:`combine_block`.
+        ``gate_mask`` (a per-vertex bool array) restricts the scatter to
+        edges whose source is in the mask; engines gate full scans to
+        the frontier. See :func:`~repro.algorithms.base.scatter_block`.
+        Compute is charged for the whole block, gated or not.
         """
         if self.program.needs_weights:
             require(block.wgt is not None, f"{self.program.name} requires edge weights")
-        contrib = self.program.gather(snapshot, block.src, block.wgt)
-        edge_mask: Optional[np.ndarray] = None
-        if gate_mask is not None:
-            edge_mask = gate_mask[block.src]
-            neutral = 0.0 if self.program.combine is Combine.ADD else np.inf
-            contrib = np.where(edge_mask, contrib, neutral)
+        scatter_block(self.program, snapshot, block, acc, touched, gate_mask)
         self.clock.charge(COMPUTE, self.machine.edge_compute_time(block.count))
-        return contrib, edge_mask
-
-    def combine_block(
-        self,
-        acc: np.ndarray,
-        touched: np.ndarray,
-        block: EdgeBlock,
-        contrib: np.ndarray,
-        edge_mask: Optional[np.ndarray] = None,
-    ) -> None:
-        """Reduce ``contrib`` into the global accumulator at block.dst.
-
-        Only destinations of edges selected by ``edge_mask`` (all edges
-        when ``None``) are marked touched — neutralized contributions
-        must not create phantom activity or phantom pending work.
-        """
-        scatter_combine(self.program.combine, acc, block.dst, contrib)
-        if edge_mask is None:
-            touched[block.dst] = True
-        else:
-            touched[block.dst[edge_mask]] = True
 
     def apply_interval(
         self,

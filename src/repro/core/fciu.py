@@ -210,18 +210,16 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
                 diag_block = None
                 for i, block, _from_cache in column:
                     engine._crash_point("mid-scatter")
-                    contrib, edge_mask = engine.gather_block(prev, block, gate_mask=gate)
-                    engine.combine_block(acc, touched, block, contrib, edge_mask)
+                    engine.scatter_block(prev, block, acc, touched, gate_mask=gate)
                     edges1 += block.count
                     blocks1 += 1
                     if do_cross and i < j:
                         # Sources in interval i are final for iteration t:
                         # push their t+1 contributions now (Algorithm 3,
                         # lines 7-11).
-                        contrib2, mask2 = engine.gather_block(
-                            engine.state, block, gate_mask=activated_mask
+                        engine.scatter_block(
+                            engine.state, block, acc_next, touched_next, gate_mask=activated_mask
                         )
-                        engine.combine_block(acc_next, touched_next, block, contrib2, mask2)
                     if i == j:
                         diag_block = block  # held in memory (Algorithm 3, line 13)
 
@@ -230,10 +228,9 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
                 if do_cross and diag_block is not None and diag_block.count:
                     # Interval j just finished updating; its diagonal block
                     # can now cross-push (Algorithm 3, lines 13-16).
-                    contrib, edge_mask = engine.gather_block(
-                        engine.state, diag_block, gate_mask=activated_mask
+                    engine.scatter_block(
+                        engine.state, diag_block, acc_next, touched_next, gate_mask=activated_mask
                     )
-                    engine.combine_block(acc_next, touched_next, diag_block, contrib, edge_mask)
 
                 if engine.buffer_enabled:
                     # Interval j's activations are now known; re-rank the
@@ -295,8 +292,7 @@ def run_fciu_round(engine: "GraphSDEngine") -> VertexSubset:
             for j in range(P):
                 for i, block, _from_cache in next(stream2):
                     engine._crash_point("mid-scatter")
-                    contrib, edge_mask = engine.gather_block(prev2, block, gate_mask=gate2)
-                    engine.combine_block(acc2, touched2, block, contrib, edge_mask)
+                    engine.scatter_block(prev2, block, acc2, touched2, gate_mask=gate2)
                     edges2 += block.count
                     blocks2 += 1
                 engine.apply_interval(j, acc2, touched2, new_activated)

@@ -151,8 +151,7 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
                         block = buffered if buffered is not None else next(stream)
                         if block.count == 0:
                             continue
-                        contrib, edge_mask = engine.gather_block(prev, block)
-                        engine.combine_block(acc, touched, block, contrib, edge_mask)
+                        engine.scatter_block(prev, block, acc, touched)
                         retained.append(block)
                         edges_processed += block.count
                 finally:
@@ -197,8 +196,7 @@ def run_sciu_round(engine: "GraphSDEngine") -> VertexSubset:
                         block.dst[keep],
                         None if block.wgt is None else block.wgt[keep],
                     )
-                    contrib, edge_mask = engine.gather_block(engine.state, sub)
-                    engine.combine_block(acc_next, touched_next, sub, contrib, edge_mask)
+                    engine.scatter_block(engine.state, sub, acc_next, touched_next)
             # Cross-pushed vertices leave Out: their edges need not be
             # loaded next iteration (Algorithm 2, line 17).
             activated_mask &= ~candidates
